@@ -3,8 +3,8 @@
 //! macro sweep (`hotpath.rs`) only sees in aggregate:
 //!
 //! * `observer_dispatch/{0,1,4}` — a fixed kernel scenario with N
-//!   batch-subscribed observers attached, showing the per-observer
-//!   marginal cost of the masked, batched dispatch path;
+//!   record-counting observers attached, showing the per-observer
+//!   marginal cost of the kernel's one observation fan-out;
 //! * `intern/{hit,first_sight_64}` — steady-state id lookup vs the
 //!   first-sight path that allocates and inserts;
 //! * `arena/{fresh_per_run,reused}` — one fully instrumented run
@@ -22,22 +22,21 @@ use noiselab_core::{
     run_once_instrumented_in, ExecConfig, Mitigation, Model, Observe, Platform, RunArena,
 };
 use noiselab_kernel::{
-    Action, InternTable, Kernel, KernelConfig, KernelObserver, ScriptBehavior, ThreadKind,
-    ThreadSpec, WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES,
+    Action, InternTable, Kernel, KernelConfig, KernelObserver, SchedRecord, ScriptBehavior,
+    ThreadKind, ThreadSpec, WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES,
 };
 use noiselab_machine::WorkUnit;
 use noiselab_sim::SimDuration;
 use noiselab_telemetry::TelemetryConfig;
 use noiselab_testutil::{costed_machine, horizon, tiny_nbody};
 
-/// Observer that touches each batch once — the cheapest subscriber the
-/// batched `events` hook supports, so the measurement is dominated by
-/// dispatch plumbing rather than observer work.
+/// Observer that only counts records — the cheapest subscriber, so the
+/// measurement is dominated by the fan-out rather than observer work.
 struct CountingObserver(u64);
 
 impl KernelObserver for CountingObserver {
-    fn events(&mut self, batch: &[WireRecord], _intern: &InternTable) {
-        self.0 += batch.len() as u64;
+    fn sched(&mut self, _rec: &SchedRecord<'_>) {
+        self.0 += 1;
     }
 }
 

@@ -41,7 +41,7 @@ fn main() {
     let platform = Platform::intel();
     let workload = suite::nbody_for(&platform);
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-    let (seed, reps) = (1, 5);
+    let (seed, reps) = (1, 15);
     let report =
         measure_overhead(&platform, &workload, &cfg, seed, reps).expect("bench run failed");
 

@@ -135,6 +135,9 @@ enum Event {
     Frame(usize, WorkerMsg),
     Bad(usize, String),
     Raw(String),
+    /// The slot's worker pipe closed: every frame it wrote is queued
+    /// ahead of this event.
+    Eof(usize),
 }
 
 struct Slot {
@@ -150,6 +153,11 @@ struct Slot {
     chaos_killed: bool,
     /// Reason to record if this child's death quarantines its shard.
     kill_reason: Option<String>,
+    /// The child's [`Event::Eof`] was processed. A death is judged only
+    /// after this: a worker can claim a shard and die before the
+    /// supervisor has read its `Claimed` frame, and judging it then
+    /// would leak the shard's lease and wedge the queue.
+    eof: bool,
 }
 
 impl Slot {
@@ -164,6 +172,7 @@ impl Slot {
             shard_since: t,
             chaos_killed: false,
             kill_reason: None,
+            eof: false,
         }
     }
 }
@@ -209,9 +218,10 @@ fn spawn_worker(
                 Err(e) => Event::Bad(slot_idx, e.to_string()),
             };
             if tx.send(event).is_err() {
-                break;
+                return;
             }
         }
+        let _ = tx.send(Event::Eof(slot_idx));
     });
     Ok(child)
 }
@@ -337,6 +347,7 @@ fn supervise_loop(
                 slot.shard = None;
                 slot.chaos_killed = false;
                 slot.kill_reason = None;
+                slot.eof = false;
                 report.spawned += 1;
                 open -= 1;
             }
@@ -354,6 +365,7 @@ fn supervise_loop(
             let t = now();
             match event {
                 Event::Raw(line) => println!("{line}"),
+                Event::Eof(idx) => slots[idx].eof = true,
                 Event::Bad(idx, msg) => {
                     // A garbled frame is suspicious but not fatal; it
                     // still proves the worker is alive.
@@ -435,6 +447,8 @@ fn supervise_loop(
 
             match child.try_wait() {
                 Ok(None) => {}
+                // Dead, but frames it wrote may still be in flight.
+                Ok(Some(_)) if !slot.eof => {}
                 Ok(Some(exit)) => {
                     let _ = child.wait();
                     slot.child = None;

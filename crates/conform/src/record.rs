@@ -106,8 +106,10 @@ impl Rec {
         }
     }
 
-    fn from_sched(rec: &SchedRecord<'_>) -> Rec {
-        match *rec {
+    /// The owned copy of a scheduling record; `None` for the tracer's
+    /// noise records, which no checker reads.
+    fn from_sched(rec: &SchedRecord<'_>) -> Option<Rec> {
+        Some(match *rec {
             SchedRecord::SwitchIn {
                 cpu,
                 thread,
@@ -210,7 +212,8 @@ impl Rec {
                 heat_milli,
                 entered,
             },
-        }
+            SchedRecord::Noise { .. } => return None,
+        })
     }
 }
 
@@ -230,7 +233,9 @@ impl Recording {
 
 impl KernelObserver for Recording {
     fn sched(&mut self, rec: &SchedRecord<'_>) {
-        self.out.borrow_mut().push(Rec::from_sched(rec));
+        if let Some(r) = Rec::from_sched(rec) {
+            self.out.borrow_mut().push(r);
+        }
     }
 }
 

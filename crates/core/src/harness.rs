@@ -407,7 +407,6 @@ pub fn run_once_instrumented_in(
         prof.enter(noiselab_kernel::Phase::Stats);
     }
     let trace = buffer.map(|b| {
-        kernel.detach_tracer();
         // Surface the tracer's ring-buffer accounting through the
         // metrics registry before the drain resets it.
         if let Some(tele) = &telemetry {
@@ -426,6 +425,11 @@ pub fn run_once_instrumented_in(
     let report = kernel
         .take_sanitizer_report()
         .expect("sanitizer attached at kernel construction");
+    // The sanitizer folds every dispatched event, so its count is the
+    // run's event count.
+    if let Some(tele) = &telemetry {
+        tele.counter_add("kernel.events", report.events);
+    }
     let tele_report = telemetry.map(|tele| tele.take_report(end));
     kernel.retire(&mut arena.kernel);
     if let Some(prof) = &observe.profiler {

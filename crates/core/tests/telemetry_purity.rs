@@ -44,6 +44,14 @@ fn instrumented(cfg: &ExecConfig, seed: u64, tracing: bool) -> (u64, u64) {
         run.output.metrics.is_some(),
         "telemetry-enabled run must snapshot metrics"
     );
+    assert_eq!(
+        run.output
+            .metrics
+            .as_ref()
+            .map(|m| m.counter("kernel.events")),
+        Some(run.sanitizer.events),
+        "metrics must count exactly the events the sanitizer folded"
+    );
     (run.output.stream_hash, run.output.exec.nanos())
 }
 

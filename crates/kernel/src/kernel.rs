@@ -16,12 +16,10 @@ use crate::config::KernelConfig;
 use crate::cpu::Cpu;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::ids::{BarrierId, ThreadId, WaitId};
-use crate::observe::{DecisionPoint, HostProfiler, KernelObserver, Phase, SchedRecord};
+use crate::observe::{DecisionPoint, HostProfiler, KernelObserver, NoiseClass, Phase, SchedRecord};
 use crate::policy::Policy;
 use crate::sanitize::{EventKind, EventRecord, EventSanitizer, SanitizerConfig, SanitizerReport};
 use crate::thread::{ActiveCompute, BlockReason, Thread, ThreadKind, ThreadState};
-use crate::trace::{NoiseClass, TraceSink};
-use crate::wire::{InternTable, WireRecord};
 use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, SoloProfile};
 use noiselab_sim::{EventQueue, EventToken, Rng, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -208,7 +206,9 @@ pub struct Kernel {
     barriers: Vec<BarrierState>,
     waitqs: Vec<WaitQueueState>,
     rng: Rng,
-    tracer: Option<Box<dyn TraceSink>>,
+    /// Set by [`Kernel::attach_tracer`]: emit [`SchedRecord::Noise`]
+    /// records and charge `trace_event_overhead` for each.
+    tracing: bool,
     /// Per-CPU trace-write overhead accumulated since the last tick,
     /// charged inside the next tick's IRQ window.
     pending_trace_ns: Vec<u64>,
@@ -248,21 +248,12 @@ pub struct Kernel {
     /// running hash (see [`crate::sanitize`]). A pure observer unless
     /// its chaos hook is armed.
     sanitizer: Option<EventSanitizer>,
-    /// Telemetry observer receiving dispatch and scheduling records
-    /// (see [`crate::observe`]). Always a pure observer.
-    observer: Option<Box<dyn KernelObserver>>,
+    /// Observers receiving the observation stream (see
+    /// [`crate::observe`]), in attach order. Always pure observers.
+    observers: Vec<Box<dyn KernelObserver>>,
     /// Host-time phase profiler; the kernel only announces boundaries,
     /// it never reads a clock itself.
     profiler: Option<Box<dyn HostProfiler>>,
-    /// Precomputed observation mask (see `OBS_*` bits): one load tells
-    /// the dispatch loop whether any event consumer is attached.
-    /// Maintained at the attach/detach/take points.
-    obs_mask: u8,
-    /// Pending batched event records for the observer, flushed at
-    /// `OBS_BATCH` or before any scheduling record / run-loop return.
-    obs_events: Vec<WireRecord>,
-    /// Intern table for the noise-source labels in `obs_events`.
-    obs_intern: InternTable,
     /// Live DVFS state (frequency levels, turbo budget, thermal
     /// accumulator). `None` when the machine's DVFS axis is disabled:
     /// no events, no rate scaling, no state — bit-identical to the
@@ -271,13 +262,6 @@ pub struct Kernel {
     /// runtime per run keeps arena reuse trivially pure.
     dvfs: Option<crate::dvfs::DvfsRuntime>,
 }
-
-/// `obs_mask` bit: an event sanitizer is attached.
-const OBS_SANITIZER: u8 = 1;
-/// `obs_mask` bit: a kernel observer is attached.
-const OBS_OBSERVER: u8 = 2;
-/// Batched-observer flush threshold (records).
-const OBS_BATCH: usize = 64;
 
 /// Recyclable per-run kernel state: every growable buffer the kernel
 /// owns, detached from a finished run by [`Kernel::retire`] and handed
@@ -299,8 +283,6 @@ pub struct KernelStorage {
     running: RunningSet,
     scratch: RateScratch,
     aborted: Vec<ThreadId>,
-    obs_events: Vec<WireRecord>,
-    obs_intern: InternTable,
 }
 
 impl Kernel {
@@ -355,10 +337,6 @@ impl Kernel {
         scratch.reset();
         let mut aborted = std::mem::take(&mut storage.aborted);
         aborted.clear();
-        let mut obs_events = std::mem::take(&mut storage.obs_events);
-        obs_events.clear();
-        let mut obs_intern = std::mem::take(&mut storage.obs_intern);
-        obs_intern.clear();
         let dvfs = machine
             .dvfs
             .enabled
@@ -373,7 +351,7 @@ impl Kernel {
             barriers,
             waitqs,
             rng: Rng::new(seed),
-            tracer: None,
+            tracing: false,
             pending_trace_ns,
             softirq_flip: false,
             step_depth: 0,
@@ -386,11 +364,8 @@ impl Kernel {
             faults: None,
             aborted,
             sanitizer: None,
-            observer: None,
+            observers: Vec::new(),
             profiler: None,
-            obs_mask: 0,
-            obs_events,
-            obs_intern,
             dvfs,
         }
     }
@@ -411,8 +386,6 @@ impl Kernel {
         storage.running = self.running;
         storage.scratch = self.scratch;
         storage.aborted = self.aborted;
-        storage.obs_events = self.obs_events;
-        storage.obs_intern = self.obs_intern;
     }
 
     #[inline]
@@ -420,18 +393,17 @@ impl Kernel {
         self.queue.now()
     }
 
-    /// Attach an osnoise-style trace sink; tracing stays on until
-    /// [`Self::detach_tracer`].
-    pub fn attach_tracer(&mut self, sink: Box<dyn TraceSink>) {
-        self.tracer = Some(sink);
-    }
-
-    pub fn detach_tracer(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.tracer.take()
+    /// Attach an osnoise-style tracer: an observer like any other, but
+    /// attaching it switches on [`SchedRecord::Noise`] records for every
+    /// observer and the simulated per-record `trace_event_overhead`
+    /// charge, so unlike [`Self::attach_observer`] it changes the run.
+    pub fn attach_tracer(&mut self, tracer: Box<dyn KernelObserver>) {
+        self.tracing = true;
+        self.observers.push(tracer);
     }
 
     pub fn tracing(&self) -> bool {
-        self.tracer.is_some()
+        self.tracing
     }
 
     /// Attach an event-stream sanitizer. Every subsequently dispatched
@@ -439,7 +411,6 @@ impl Kernel {
     /// this never changes the simulation.
     pub fn attach_sanitizer(&mut self, config: SanitizerConfig) {
         self.sanitizer = Some(EventSanitizer::new(config));
-        self.obs_mask |= OBS_SANITIZER;
     }
 
     /// Running event-stream hash, if a sanitizer is attached.
@@ -449,45 +420,35 @@ impl Kernel {
 
     /// Detach the sanitizer and return its report.
     pub fn take_sanitizer_report(&mut self) -> Option<SanitizerReport> {
-        self.obs_mask &= !OBS_SANITIZER;
         self.sanitizer.take().map(|s| s.into_report())
     }
 
-    /// Attach a telemetry observer. It receives every dispatched event
-    /// and every scheduling record until [`Self::detach_observer`];
-    /// observers are pure, so this never changes the simulation.
+    /// Attach an observer. It receives every record of the observation
+    /// stream from now on; observers are pure, so this never changes
+    /// the simulation.
     pub fn attach_observer(&mut self, obs: Box<dyn KernelObserver>) {
-        self.observer = Some(obs);
-        self.obs_mask |= OBS_OBSERVER;
+        self.observers.push(obs);
     }
 
-    pub fn detach_observer(&mut self) -> Option<Box<dyn KernelObserver>> {
-        self.flush_obs_events();
-        self.obs_mask &= !OBS_OBSERVER;
-        self.observer.take()
-    }
-
-    /// Deliver any batched event records to the observer. A no-op with
-    /// an empty batch, so call sites sprinkle it freely: before every
-    /// scheduling record and at every run-loop return, keeping the
-    /// merged event/sched stream an observer sees in dispatch order.
-    fn flush_obs_events(&mut self) {
-        if self.obs_events.is_empty() {
-            return;
+    /// The one observation fan-out: hand `rec` to every attached
+    /// observer, in attach order. Noise records are the tracer's write
+    /// path, so their delivery is the [`Phase::Tracer`] host phase.
+    fn emit(&mut self, rec: &SchedRecord<'_>) {
+        let noise = matches!(rec, SchedRecord::Noise { .. });
+        if noise {
+            self.prof_enter(Phase::Tracer);
         }
-        if let Some(obs) = self.observer.as_mut() {
-            obs.events(&self.obs_events, &self.obs_intern);
+        for obs in &mut self.observers {
+            obs.sched(rec);
         }
-        self.obs_events.clear();
+        if noise {
+            self.prof_exit(Phase::Tracer);
+        }
     }
 
     /// Attach a host-time phase profiler (see [`crate::observe`]).
     pub fn attach_host_profiler(&mut self, prof: Box<dyn HostProfiler>) {
         self.profiler = Some(prof);
-    }
-
-    pub fn detach_host_profiler(&mut self) -> Option<Box<dyn HostProfiler>> {
-        self.profiler.take()
     }
 
     #[inline]
@@ -619,15 +580,12 @@ impl Kernel {
     pub fn run_until_exit(&mut self, tid: ThreadId, horizon: SimTime) -> Result<SimTime, RunError> {
         loop {
             if let Some(t) = self.threads[tid.index()].exit_time {
-                self.flush_obs_events();
                 return Ok(t);
             }
             let Some(next) = self.queue.peek_time() else {
-                self.flush_obs_events();
                 return Err(RunError::Drained);
             };
             if next > horizon {
-                self.flush_obs_events();
                 return Err(RunError::Horizon(horizon));
             }
             let (_, ev) = self.queue.pop().unwrap();
@@ -641,11 +599,9 @@ impl Kernel {
     pub fn run_until(&mut self, until: SimTime) -> Result<(), RunError> {
         loop {
             let Some(next) = self.queue.peek_time() else {
-                self.flush_obs_events();
                 return Ok(());
             };
             if next > until {
-                self.flush_obs_events();
                 return Ok(());
             }
             let (_, ev) = self.queue.pop().unwrap();
@@ -659,8 +615,8 @@ impl Kernel {
 
     fn handle(&mut self, ev: KEvent) {
         self.prof_enter(Phase::Dispatch);
-        if self.obs_mask != 0 {
-            self.observe_event(&ev);
+        if self.sanitizer.is_some() {
+            self.sanitize_event(&ev);
         }
         match ev {
             KEvent::Start(tid) | KEvent::WakeTimer(tid) => {
@@ -696,10 +652,9 @@ impl Kernel {
         self.prof_exit(Phase::Dispatch);
     }
 
-    /// Feed a dispatched event to the attached telemetry observer and
-    /// fold it into the attached sanitizer, firing the sanitizer's
+    /// Fold a dispatched event into the attached sanitizer, firing its
     /// chaos hook (one synthetic device IRQ, now) when armed.
-    fn observe_event(&mut self, ev: &KEvent) {
+    fn sanitize_event(&mut self, ev: &KEvent) {
         let now = self.now();
         let rec = match ev {
             KEvent::Start(tid) => EventRecord {
@@ -771,20 +726,6 @@ impl Kernel {
                 source: None,
             },
         };
-        if self.obs_mask & OBS_OBSERVER != 0 {
-            let name = rec.source.map_or(u32::MAX, |s| self.obs_intern.intern(s));
-            self.obs_events.push(WireRecord {
-                start: rec.time.0,
-                dur_ns: rec.duration_ns,
-                cpu: rec.cpu.unwrap_or(u32::MAX),
-                thread: rec.thread.unwrap_or(u32::MAX),
-                name,
-                tag: rec.kind.tag(),
-            });
-            if self.obs_events.len() >= OBS_BATCH {
-                self.flush_obs_events();
-            }
-        }
         let perturb = self
             .sanitizer
             .as_mut()
@@ -825,31 +766,24 @@ impl Kernel {
     fn on_device_irq(&mut self, ci: usize, duration: SimDuration, source: &str) {
         let now = self.now();
         let mut stall = duration.nanos();
-        if self.tracer.is_some() {
-            self.prof_enter(Phase::Tracer);
-        }
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.record(
-                CpuId(ci as u32),
-                NoiseClass::Irq,
-                source,
-                None,
-                now,
-                duration,
-            );
-            stall += self.config.trace_event_overhead.nanos();
-            self.prof_exit(Phase::Tracer);
-        }
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.sched(&SchedRecord::IrqSpan {
+        if self.tracing {
+            self.emit(&SchedRecord::Noise {
                 cpu: ci as u32,
-                time: now,
-                duration_ns: stall,
+                class: NoiseClass::Irq,
                 source,
-                softirq: false,
+                thread: None,
+                start: now,
+                duration_ns: duration.nanos(),
             });
+            stall += self.config.trace_event_overhead.nanos();
         }
+        self.emit(&SchedRecord::IrqSpan {
+            cpu: ci as u32,
+            time: now,
+            duration_ns: stall,
+            source,
+            softirq: false,
+        });
         self.cpus[ci].irq_ns += stall;
         if let Some(tid) = self.cpus[ci].current {
             self.charge_runtime(tid);
@@ -953,10 +887,6 @@ impl Kernel {
                 )
                 .round() as u64;
             let mut stall = irq_ns;
-            let mut trace_events = 0u32;
-            if self.tracer.is_some() {
-                trace_events += 1;
-            }
 
             let softirq = if self.rng.chance(self.config.softirq_prob) {
                 let s = self
@@ -965,72 +895,58 @@ impl Kernel {
                     .round()
                     .max(200.0) as u64;
                 self.softirq_flip = !self.softirq_flip;
-                if self.tracer.is_some() {
-                    trace_events += 1;
-                }
-                Some(s)
+                let src = if self.softirq_flip {
+                    "RCU:9"
+                } else {
+                    "SCHED:7"
+                };
+                Some((s, src))
             } else {
                 None
             };
 
-            if self.tracer.is_some() {
-                self.prof_enter(Phase::Tracer);
-            }
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.record(
-                    CpuId(ci as u32),
-                    NoiseClass::Irq,
-                    "local_timer:236",
-                    None,
-                    now,
-                    SimDuration(irq_ns),
-                );
-                if let Some(s) = softirq {
-                    let src = if self.softirq_flip {
-                        "RCU:9"
-                    } else {
-                        "SCHED:7"
-                    };
-                    tr.record(
-                        CpuId(ci as u32),
-                        NoiseClass::Softirq,
-                        src,
-                        None,
-                        now + SimDuration(irq_ns),
-                        SimDuration(s),
-                    );
-                }
-                self.prof_exit(Phase::Tracer);
-            }
-            self.flush_obs_events();
-            if let Some(obs) = self.observer.as_mut() {
-                obs.sched(&SchedRecord::IrqSpan {
+            if self.tracing {
+                self.emit(&SchedRecord::Noise {
                     cpu: ci as u32,
-                    time: now,
-                    duration_ns: irq_ns,
+                    class: NoiseClass::Irq,
                     source: "local_timer:236",
-                    softirq: false,
+                    thread: None,
+                    start: now,
+                    duration_ns: irq_ns,
                 });
-                if let Some(s) = softirq {
-                    let src = if self.softirq_flip {
-                        "RCU:9"
-                    } else {
-                        "SCHED:7"
-                    };
-                    obs.sched(&SchedRecord::IrqSpan {
+                if let Some((s, src)) = softirq {
+                    self.emit(&SchedRecord::Noise {
                         cpu: ci as u32,
-                        time: now + SimDuration(irq_ns),
-                        duration_ns: s,
+                        class: NoiseClass::Softirq,
                         source: src,
-                        softirq: true,
+                        thread: None,
+                        start: now + SimDuration(irq_ns),
+                        duration_ns: s,
                     });
                 }
             }
-            stall += softirq.unwrap_or(0);
+            self.emit(&SchedRecord::IrqSpan {
+                cpu: ci as u32,
+                time: now,
+                duration_ns: irq_ns,
+                source: "local_timer:236",
+                softirq: false,
+            });
+            if let Some((s, src)) = softirq {
+                self.emit(&SchedRecord::IrqSpan {
+                    cpu: ci as u32,
+                    time: now + SimDuration(irq_ns),
+                    duration_ns: s,
+                    source: src,
+                    softirq: true,
+                });
+                stall += s;
+            }
             // Charge deferred trace-write overhead plus this tick's records.
-            if self.tracer.is_some() {
+            if self.tracing {
                 let deferred = std::mem::take(&mut self.pending_trace_ns[ci]);
-                stall += deferred + trace_events as u64 * self.config.trace_event_overhead.nanos();
+                let records = 1 + u64::from(softirq.is_some());
+                stall += deferred + records * self.config.trace_event_overhead.nanos();
             }
 
             self.cpus[ci].irq_ns += stall;
@@ -1354,16 +1270,13 @@ impl Kernel {
         }
         self.queued_total += 1;
         self.kick_pending = true;
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            let depth = (self.cpus[ci].rt.len() + self.cpus[ci].cfs.len()) as u32;
-            obs.sched(&SchedRecord::Enqueue {
-                cpu: ci as u32,
-                thread: tid.0,
-                time: self.queue.now(),
-                depth,
-            });
-        }
+        let depth = (self.cpus[ci].rt.len() + self.cpus[ci].cfs.len()) as u32;
+        self.emit(&SchedRecord::Enqueue {
+            cpu: ci as u32,
+            thread: tid.0,
+            time: self.queue.now(),
+            depth,
+        });
     }
 
     fn dequeue_ready(&mut self, ci: usize, tid: ThreadId) {
@@ -1430,34 +1343,29 @@ impl Kernel {
         if self.threads[i].kind != ThreadKind::Workload {
             let start = self.threads[i].on_cpu_since;
             let dur = now.since(start);
-            if dur > SimDuration::ZERO {
-                if self.tracer.is_some() {
-                    self.prof_enter(Phase::Tracer);
-                }
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.record(
-                        cpu,
-                        NoiseClass::Thread,
-                        &self.threads[i].name,
-                        Some(tid),
-                        start,
-                        dur,
-                    );
-                    self.pending_trace_ns[cpu.index()] += self.config.trace_event_overhead.nanos();
-                    self.prof_exit(Phase::Tracer);
-                }
+            if self.tracing && dur > SimDuration::ZERO {
+                // The record borrows the thread's name while `emit`
+                // borrows the kernel; lend the name out for the call.
+                let name = std::mem::take(&mut self.threads[i].name);
+                self.emit(&SchedRecord::Noise {
+                    cpu: cpu.0,
+                    class: NoiseClass::Thread,
+                    source: &name,
+                    thread: Some(tid.0),
+                    start,
+                    duration_ns: dur.nanos(),
+                });
+                self.threads[i].name = name;
+                self.pending_trace_ns[cpu.index()] += self.config.trace_event_overhead.nanos();
             }
         }
 
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.sched(&SchedRecord::SwitchOut {
-                cpu: cpu.0,
-                thread: tid.0,
-                time: now,
-                state: new_state,
-            });
-        }
+        self.emit(&SchedRecord::SwitchOut {
+            cpu: cpu.0,
+            thread: tid.0,
+            time: now,
+            state: new_state,
+        });
 
         if self.computes[i].is_some() {
             self.running.remove(cpu.index());
@@ -1490,14 +1398,11 @@ impl Kernel {
         };
         self.off_cpu(tid, ThreadState::Ready);
         self.threads[tid.index()].stats.preemptions += 1;
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.sched(&SchedRecord::Preempt {
-                cpu: ci as u32,
-                thread: tid.0,
-                time: self.queue.now(),
-            });
-        }
+        self.emit(&SchedRecord::Preempt {
+            cpu: ci as u32,
+            thread: tid.0,
+            time: self.queue.now(),
+        });
         self.enqueue(ci, tid);
         self.recompute_rates_for(ci);
     }
@@ -1506,26 +1411,20 @@ impl Kernel {
     /// Pure observation: no kernel state is read back.
     #[inline]
     fn note_decision(&mut self, ci: usize, point: DecisionPoint) {
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.sched(&SchedRecord::Decision {
-                cpu: ci as u32,
-                time: self.queue.now(),
-                point,
-            });
-        }
+        self.emit(&SchedRecord::Decision {
+            cpu: ci as u32,
+            time: self.queue.now(),
+            point,
+        });
     }
 
     #[inline]
     fn note_dequeue(&mut self, ci: usize, tid: ThreadId) {
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.sched(&SchedRecord::Dequeue {
-                cpu: ci as u32,
-                thread: tid.0,
-                time: self.queue.now(),
-            });
-        }
+        self.emit(&SchedRecord::Dequeue {
+            cpu: ci as u32,
+            thread: tid.0,
+            time: self.queue.now(),
+        });
     }
 
     /// Pick and start the next thread on CPU `ci`.
@@ -1601,32 +1500,29 @@ impl Kernel {
                     cross_numa = true;
                 }
             }
-            self.flush_obs_events();
-            if let Some(obs) = self.observer.as_mut() {
-                obs.sched(&SchedRecord::Migrate {
-                    thread: tid.0,
-                    to_cpu: ci as u32,
-                    time: now,
-                    cross_numa,
-                });
-            }
+            self.emit(&SchedRecord::Migrate {
+                thread: tid.0,
+                to_cpu: ci as u32,
+                time: now,
+                cross_numa,
+            });
             overhead += cost;
         }
         self.threads[i].pending_overhead_ns += overhead;
         self.threads[i].last_cpu = Some(CpuId(ci as u32));
 
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            let runq_depth = (self.cpus[ci].rt.len() + self.cpus[ci].cfs.len()) as u32;
-            obs.sched(&SchedRecord::SwitchIn {
-                cpu: ci as u32,
-                thread: tid.0,
-                name: &self.threads[i].name,
-                kind: self.threads[i].kind,
-                time: now,
-                runq_depth,
-            });
-        }
+        let runq_depth = (self.cpus[ci].rt.len() + self.cpus[ci].cfs.len()) as u32;
+        // Lend the name out for the call, as in `off_cpu`.
+        let name = std::mem::take(&mut self.threads[i].name);
+        self.emit(&SchedRecord::SwitchIn {
+            cpu: ci as u32,
+            thread: tid.0,
+            name: &name,
+            kind: self.threads[i].kind,
+            time: now,
+            runq_depth,
+        });
+        self.threads[i].name = name;
         self.prof_exit(Phase::Scheduler);
 
         if self.computes[i].is_some() {
@@ -1837,14 +1733,11 @@ impl Kernel {
             }
             Action::SetPolicy(p) => {
                 self.threads[i].policy = p;
-                self.flush_obs_events();
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.sched(&SchedRecord::PolicySwitch {
-                        thread: tid.0,
-                        time: now,
-                        rt: p.is_rt(),
-                    });
-                }
+                self.emit(&SchedRecord::PolicySwitch {
+                    thread: tid.0,
+                    time: now,
+                    rt: p.is_rt(),
+                });
                 // A demotion may make a queued task preferable.
                 if let Some(cpu) = self.threads[i].cpu {
                     self.resched_if_needed(cpu.index());
@@ -2112,49 +2005,37 @@ impl Kernel {
                     DecisionPoint::ThrottleExit
                 },
             );
-            self.flush_obs_events();
-            if let Some(obs) = self.observer.as_mut() {
-                obs.sched(&SchedRecord::Throttle {
-                    cpu: ci as u32,
-                    time: now,
-                    heat_milli,
-                    entered,
-                });
-            }
+            self.emit(&SchedRecord::Throttle {
+                cpu: ci as u32,
+                time: now,
+                heat_milli,
+                entered,
+            });
             // A closed throttle window is an interference interval like
             // any other: report it to the osnoise tracer so the advisor
             // can blame "dvfs:throttle" per (source, CPU).
-            if !entered {
+            if !entered && self.tracing {
                 if let Some(start) = window_start {
-                    if self.tracer.is_some() {
-                        self.prof_enter(Phase::Tracer);
-                        self.pending_trace_ns[ci] += self.config.trace_event_overhead.nanos();
-                    }
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.record(
-                            CpuId(ci as u32),
-                            NoiseClass::Thread,
-                            "dvfs:throttle",
-                            None,
-                            start,
-                            SimDuration(now.nanos() - start.nanos()),
-                        );
-                        self.prof_exit(Phase::Tracer);
-                    }
+                    self.pending_trace_ns[ci] += self.config.trace_event_overhead.nanos();
+                    self.emit(&SchedRecord::Noise {
+                        cpu: ci as u32,
+                        class: NoiseClass::Thread,
+                        source: "dvfs:throttle",
+                        thread: None,
+                        start,
+                        duration_ns: now.nanos() - start.nanos(),
+                    });
                 }
             }
         }
         if let Some((from_khz, to_khz, why)) = out.transition {
             self.note_decision(ci, why);
-            self.flush_obs_events();
-            if let Some(obs) = self.observer.as_mut() {
-                obs.sched(&SchedRecord::FreqTransition {
-                    cpu: ci as u32,
-                    time: now,
-                    from_khz,
-                    to_khz,
-                });
-            }
+            self.emit(&SchedRecord::FreqTransition {
+                cpu: ci as u32,
+                time: now,
+                from_khz,
+                to_khz,
+            });
         }
     }
 
@@ -2168,15 +2049,12 @@ impl Kernel {
             return;
         };
         self.note_decision(ci, DecisionPoint::FreqIdle);
-        self.flush_obs_events();
-        if let Some(obs) = self.observer.as_mut() {
-            obs.sched(&SchedRecord::FreqTransition {
-                cpu: ci as u32,
-                time: now,
-                from_khz,
-                to_khz,
-            });
-        }
+        self.emit(&SchedRecord::FreqTransition {
+            cpu: ci as u32,
+            time: now,
+            from_khz,
+            to_khz,
+        });
     }
 
     /// End-of-run DVFS summary (cycle totals, transition and throttle

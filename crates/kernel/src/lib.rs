@@ -16,9 +16,11 @@
 //!   roofline model of `noiselab-machine`;
 //! * barriers and wait queues with spin-then-block semantics, the
 //!   building blocks of the OpenMP- and SYCL-style runtimes;
-//! * trace hooks reporting every interference interval (IRQ, softirq,
-//!   foreign thread) to an attached sink — the substrate for the
-//!   `osnoise`-style tracer in `noiselab-noise`.
+//! * one observation stream ([`observe`]): every scheduling record,
+//!   plus, while a tracer is attached, every interference interval
+//!   (IRQ, softirq, foreign thread), fanned out to the attached
+//!   observers — the `osnoise`-style tracer in `noiselab-noise` and the
+//!   telemetry recorder both consume it.
 //!
 //! Simulated programs are [`action::Behavior`] state machines; no host
 //! threads are involved, so a run is a pure function of its seed.
@@ -49,7 +51,6 @@ pub mod observe;
 pub mod policy;
 pub mod sanitize;
 pub mod thread;
-pub mod trace;
 pub mod wire;
 
 pub use action::{Action, Behavior, Ctx, FnBehavior, ScriptBehavior};
@@ -58,12 +59,11 @@ pub use dvfs::{DvfsRuntime, DvfsSummary};
 pub use fault::{CpuStallSpec, FaultPlan, FaultStats, SpuriousIrqSpec, ThreadAbortSpec};
 pub use ids::{BarrierId, ThreadId, WaitId};
 pub use kernel::{Kernel, KernelStorage, RunError, ThreadSpec};
-pub use observe::{DecisionPoint, HostProfiler, KernelObserver, Phase, SchedRecord};
+pub use observe::{DecisionPoint, HostProfiler, KernelObserver, NoiseClass, Phase, SchedRecord};
 pub use policy::Policy;
 pub use sanitize::{
     EventKind, EventRecord, EventSanitizer, HashCheckpoint, LoggedEvent, SanitizerConfig,
     SanitizerReport,
 };
 pub use thread::{ThreadKind, ThreadState};
-pub use trace::{NoiseClass, RecordedEvent, TraceSink, VecSink};
 pub use wire::{InternTable, WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES};

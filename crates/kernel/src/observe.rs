@@ -1,28 +1,42 @@
-//! Telemetry observer hooks.
+//! The kernel's observation stream.
 //!
-//! Two thin traits let the telemetry layer watch the kernel without the
-//! kernel depending on it (the same cycle-avoiding pattern as
-//! [`crate::trace::TraceSink`]):
+//! Two thin traits let the tracer and the telemetry layer watch the
+//! kernel without the kernel depending on them:
 //!
-//! * [`KernelObserver`] receives virtual-time scheduling records —
-//!   context switches, migrations, preemptions, enqueues, IRQ/softirq
-//!   service windows and policy switches — plus every dispatched event
-//!   (the same [`EventRecord`] stream the sanitizer folds). Observers
-//!   are pure: no method returns a value the kernel reads, so attaching
-//!   one cannot perturb the simulation. The purity property test in
-//!   `noiselab-core` proves it by `stream_hash` equality.
+//! * [`KernelObserver`] receives every [`SchedRecord`] — context
+//!   switches, migrations, preemptions, enqueues, IRQ/softirq service
+//!   windows, policy switches, decision points, DVFS transitions and,
+//!   while a tracer is attached, the `osnoise`-style interference
+//!   intervals ([`SchedRecord::Noise`]) the tracer in `noiselab-noise`
+//!   stores. Every attached observer sees the same records in the same
+//!   order through one fan-out. Observers are pure: no method returns a
+//!   value the kernel reads, so attaching one cannot perturb the
+//!   simulation. The purity property test in `noiselab-core` proves it
+//!   by `stream_hash` equality. Dispatched events are not part of this
+//!   stream; the sanitizer folds and counts them
+//!   ([`crate::sanitize`]).
 //! * [`HostProfiler`] receives host-time phase boundaries (event
 //!   dispatch, scheduler, tracer). The kernel never reads a clock — it
 //!   only announces phase entry/exit; the boxed implementation in
 //!   `noiselab-telemetry` reads the single audited `wall_clock()` site.
 //!
-//! Every call site is guarded by an `Option` check, so a kernel with no
-//! observer attached pays one branch per hook and nothing else.
+//! A kernel with no observer attached pays an empty-list check per
+//! record and nothing else.
 
-use crate::sanitize::{EventKind, EventRecord};
 use crate::thread::{ThreadKind, ThreadState};
-use crate::wire::{InternTable, WireRecord};
 use noiselab_sim::SimTime;
+use serde::{Deserialize, Serialize};
+
+/// Classification matching the `osnoise` event types (paper Fig. 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum NoiseClass {
+    /// Hardware interrupt service (e.g. `local_timer:236`).
+    Irq,
+    /// Softirq service (e.g. `RCU:9`, `SCHED:7`).
+    Softirq,
+    /// A non-workload thread occupying the CPU (e.g. `kworker/13:1`).
+    Thread,
+}
 
 /// One scheduling-layer occurrence, flattened for observation. Borrowed
 /// string fields keep the hooks allocation-free.
@@ -121,6 +135,20 @@ pub enum SchedRecord<'a> {
         time: SimTime,
         heat_milli: u64,
         entered: bool,
+    },
+    /// An interference interval ended: `source` ran on `cpu` from
+    /// `start` for `duration_ns`, stealing that time from whatever
+    /// workload thread was (or would have been) there. `thread` is set
+    /// for thread noise. Emitted only while a tracer is attached
+    /// ([`crate::Kernel::attach_tracer`]), which also charges the
+    /// simulated per-record trace-write overhead.
+    Noise {
+        cpu: u32,
+        class: NoiseClass,
+        source: &'a str,
+        thread: Option<u32>,
+        start: SimTime,
+        duration_ns: u64,
     },
 }
 
@@ -235,44 +263,10 @@ impl DecisionPoint {
     }
 }
 
-/// A pure observer of kernel activity. Both methods default to no-ops
-/// so an implementation can subscribe to only one stream.
+/// A pure observer of kernel activity.
 pub trait KernelObserver {
-    /// Called at the single dispatch point, with the same record the
-    /// sanitizer hashes.
-    fn event(&mut self, rec: &EventRecord<'_>) {
-        let _ = rec;
-    }
-
-    /// A batch of consecutively dispatched events, in dispatch order,
-    /// in the compact wire encoding: `tag` is [`EventKind::tag`],
-    /// `name` indexes `intern` (the event's noise-source label, absent
-    /// for `u32::MAX`), `start`/`dur_ns` carry the dispatch time and
-    /// IRQ service length. The kernel buffers small batches and always
-    /// flushes before delivering a scheduling record and before the
-    /// run-loop returns, so the merged event/sched order an observer
-    /// sees is unchanged — only the call granularity differs.
-    /// Implementations that only count can add `batch.len()` in one
-    /// step; the default decodes each record back into an
-    /// [`EventRecord`] and fans out to [`KernelObserver::event`].
-    fn events(&mut self, batch: &[WireRecord], intern: &InternTable) {
-        for w in batch {
-            let rec = EventRecord {
-                kind: EventKind::from_tag(w.tag).expect("invalid event tag in batch"),
-                cpu: (w.cpu != u32::MAX).then_some(w.cpu),
-                thread: (w.thread != u32::MAX).then_some(w.thread),
-                time: SimTime(w.start),
-                duration_ns: w.dur_ns,
-                source: intern.get(w.name),
-            };
-            self.event(&rec);
-        }
-    }
-
-    /// Called at each scheduling-layer hook.
-    fn sched(&mut self, rec: &SchedRecord<'_>) {
-        let _ = rec;
-    }
+    /// Called for every record of the observation stream.
+    fn sched(&mut self, rec: &SchedRecord<'_>);
 }
 
 /// Host-time phases the kernel announces to an attached
@@ -284,7 +278,7 @@ pub enum Phase {
     Dispatch,
     /// Picking the next thread in `Kernel::dispatch`.
     Scheduler,
-    /// Writing records into the attached trace sink.
+    /// Delivering [`SchedRecord::Noise`] records to the observers.
     Tracer,
     /// Statistics/summary computation (announced by the harness, not
     /// the kernel).

@@ -3,7 +3,10 @@
 //! Mirrors the schema of paper Fig. 3: each event records the logical
 //! CPU, the event type (`irq_noise` / `softirq_noise` / `thread_noise`),
 //! the source (process or interrupt name), the start timestamp relative
-//! to the beginning of the trace, and the duration.
+//! to the beginning of the trace, and the duration. The kernel emits
+//! these intervals as `SchedRecord::Noise` records on its one
+//! observation stream; the [`crate::tracer::OsNoiseTracer`] observer
+//! collects them into a [`RunTrace`].
 
 use noiselab_kernel::NoiseClass;
 use noiselab_machine::CpuId;

@@ -1,13 +1,14 @@
-//! The `osnoise`-style tracer: a [`TraceSink`] that accumulates
-//! [`TraceEvent`]s for one run.
+//! The `osnoise`-style tracer: a [`KernelObserver`] that accumulates
+//! the kernel's [`SchedRecord::Noise`] records as [`TraceEvent`]s for
+//! one run and ignores the rest of the observation stream.
 //!
 //! Like the real ftrace ring buffer, the tracer's capacity is bounded:
 //! once full, further events are *dropped* and counted per CPU instead
 //! of recorded, and the resulting [`RunTrace`] is flagged degraded so
 //! analysis can down-weight it. Dropping cannot change simulated
-//! timing — the kernel charges `trace_event_overhead` for every record
-//! call independent of what the sink does with it — so bounding the
-//! buffer never perturbs a run, it only truncates its observation.
+//! timing — the kernel charges `trace_event_overhead` for every noise
+//! record independent of what the tracer does with it — so bounding
+//! the buffer never perturbs a run, it only truncates its observation.
 //!
 //! Because [`noiselab_kernel::Kernel::attach_tracer`] takes a boxed trait
 //! object, the tracer shares its buffer through an `Rc<RefCell<..>>`
@@ -15,7 +16,9 @@
 //! downcasting.
 
 use crate::trace::{RunTrace, TraceEvent};
-use noiselab_kernel::{InternTable, NoiseClass, ThreadId, TraceSink, WireRecord, WIRE_NO_THREAD};
+use noiselab_kernel::{
+    InternTable, KernelObserver, NoiseClass, SchedRecord, WireRecord, WIRE_NO_THREAD,
+};
 use noiselab_machine::CpuId;
 use noiselab_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -37,7 +40,7 @@ struct BufferInner {
     capacity: usize,
     /// Per-CPU drop counters, grown on demand (index = cpu id).
     dropped: Vec<u64>,
-    /// Everything `record` was asked to store, recorded or not.
+    /// Every noise record offered, recorded or not.
     emitted: u64,
 }
 
@@ -191,30 +194,33 @@ impl OsNoiseTracer {
     }
 }
 
-impl TraceSink for OsNoiseTracer {
-    fn record(
-        &mut self,
-        cpu: CpuId,
-        class: NoiseClass,
-        source: &str,
-        tid: Option<ThreadId>,
-        start: SimTime,
-        duration: SimDuration,
-    ) {
+impl KernelObserver for OsNoiseTracer {
+    fn sched(&mut self, rec: &SchedRecord<'_>) {
+        let SchedRecord::Noise {
+            cpu,
+            class,
+            source,
+            thread,
+            start,
+            duration_ns,
+        } = *rec
+        else {
+            return;
+        };
         let mut b = self.buffer.inner.borrow_mut();
         b.emitted += 1;
         if b.events.len() < b.capacity {
             let name = b.intern.intern(source);
             b.events.push(WireRecord {
                 start: start.0,
-                dur_ns: duration.0,
-                cpu: cpu.0,
-                thread: tid.map_or(WIRE_NO_THREAD, |t| t.0),
+                dur_ns: duration_ns,
+                cpu,
+                thread: thread.unwrap_or(WIRE_NO_THREAD),
                 name,
                 tag: class_tag(class),
             });
         } else {
-            let ci = cpu.0 as usize;
+            let ci = cpu as usize;
             if b.dropped.len() <= ci {
                 b.dropped.resize(ci + 1, 0);
             }
@@ -227,25 +233,43 @@ impl TraceSink for OsNoiseTracer {
 mod tests {
     use super::*;
 
+    fn noise(
+        cpu: u32,
+        class: NoiseClass,
+        source: &str,
+        thread: Option<u32>,
+        start: u64,
+        dur: u64,
+    ) -> SchedRecord<'_> {
+        SchedRecord::Noise {
+            cpu,
+            class,
+            source,
+            thread,
+            start: SimTime(start),
+            duration_ns: dur,
+        }
+    }
+
     #[test]
     fn records_and_drains() {
         let (mut tracer, buf) = OsNoiseTracer::new();
-        tracer.record(
-            CpuId(5),
+        tracer.sched(&noise(
+            5,
             NoiseClass::Irq,
             "local_timer:236",
             None,
-            SimTime(100),
-            SimDuration(310),
-        );
-        tracer.record(
-            CpuId(1),
+            100,
+            310,
+        ));
+        tracer.sched(&noise(
+            1,
             NoiseClass::Thread,
             "kworker/u129:5",
-            Some(ThreadId(9)),
-            SimTime(200),
-            SimDuration(5830),
-        );
+            Some(9),
+            200,
+            5830,
+        ));
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.emitted(), 2);
         assert_eq!(buf.dropped(), 0);
@@ -261,14 +285,14 @@ mod tests {
     fn overflow_drops_and_flags_degraded() {
         let (mut tracer, buf) = OsNoiseTracer::with_capacity(3);
         for i in 0..10u32 {
-            tracer.record(
-                CpuId(i % 2),
+            tracer.sched(&noise(
+                i % 2,
                 NoiseClass::Irq,
                 "nic:77",
                 None,
-                SimTime(i as u64 * 100),
-                SimDuration(10),
-            );
+                i as u64 * 100,
+                10,
+            ));
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.emitted(), 10);

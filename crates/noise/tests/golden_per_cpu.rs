@@ -6,8 +6,7 @@
 //! with `UPDATE_GOLDEN=1 cargo test -p noiselab-noise` after a
 //! deliberate format change.
 
-use noiselab_kernel::{NoiseClass, ThreadId, TraceSink};
-use noiselab_machine::CpuId;
+use noiselab_kernel::{KernelObserver, NoiseClass, SchedRecord};
 use noiselab_noise::analysis::{per_cpu_summary, render_per_cpu_summary};
 use noiselab_noise::{OsNoiseTracer, RunTrace};
 use noiselab_sim::{SimDuration, SimTime};
@@ -39,14 +38,14 @@ fn fixture_trace() -> RunTrace {
         (2, NoiseClass::Irq, "nic:77", 31_000, 600),
     ];
     for (cpu, class, source, start, dur) in events {
-        tracer.record(
-            CpuId(cpu),
+        tracer.sched(&SchedRecord::Noise {
+            cpu,
             class,
             source,
-            Some(ThreadId(0)),
-            SimTime(start),
-            SimDuration(dur),
-        );
+            thread: Some(0),
+            start: SimTime(start),
+            duration_ns: dur,
+        });
     }
     buf.take_trace(3, SimDuration(2_000_000_000))
 }

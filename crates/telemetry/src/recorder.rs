@@ -14,9 +14,7 @@
 //! only the first time a name is seen.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use noiselab_kernel::{
-    EventRecord, InternTable, KernelObserver, SchedRecord, ThreadKind, ThreadState, WireRecord,
-};
+use noiselab_kernel::{KernelObserver, SchedRecord, ThreadKind, ThreadState};
 use noiselab_sim::SimTime;
 use noiselab_stats::Log2Hist;
 use std::cell::RefCell;
@@ -167,14 +165,13 @@ struct OpenSpan {
     start: SimTime,
 }
 
-/// Counters and histograms touched on every event or scheduling record,
+/// Counters and histograms touched on every scheduling record,
 /// kept as plain fields instead of registry entries: the recording path
 /// is a field increment, and the names are resolved once at
 /// [`HotMetrics::flush`] time. Flushing only materializes metrics that
 /// actually fired, matching the registry's create-on-first-add behavior.
 #[derive(Default)]
 struct HotMetrics {
-    kernel_events: u64,
     context_switches: u64,
     blocks: u64,
     preemptions: u64,
@@ -200,7 +197,6 @@ struct HotMetrics {
 impl HotMetrics {
     fn flush(&self, m: &mut MetricsRegistry) {
         let counters = [
-            ("kernel.events", self.kernel_events),
             ("sched.context_switches", self.context_switches),
             ("sched.blocks", self.blocks),
             ("sched.preemptions", self.preemptions),
@@ -496,6 +492,9 @@ impl Inner {
                     self.push_instant(cpu, "throttle-exit", time);
                 }
             }
+            // The tracer's records: the same intervals already arrive
+            // here as IRQ spans and noise-thread switch pairs.
+            SchedRecord::Noise { .. } => {}
         }
     }
 
@@ -624,16 +623,6 @@ struct Recorder {
 }
 
 impl KernelObserver for Recorder {
-    fn event(&mut self, _rec: &EventRecord<'_>) {
-        self.inner.borrow_mut().hot.kernel_events += 1;
-    }
-
-    fn events(&mut self, batch: &[WireRecord], _intern: &InternTable) {
-        // The recorder only counts dispatched events, so a batch is one
-        // borrow and one add instead of a fan-out.
-        self.inner.borrow_mut().hot.kernel_events += batch.len() as u64;
-    }
-
     fn sched(&mut self, rec: &SchedRecord<'_>) {
         self.inner.borrow_mut().sched(rec);
     }

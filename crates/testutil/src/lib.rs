@@ -14,10 +14,10 @@
 
 use noiselab_core::{ExecConfig, Mitigation, Model, Platform};
 use noiselab_kernel::{
-    Action, FaultPlan, Kernel, KernelConfig, NoiseClass, Policy, ScriptBehavior, ThreadId,
-    ThreadKind, ThreadSpec, TraceSink,
+    Action, FaultPlan, Kernel, KernelConfig, KernelObserver, NoiseClass, Policy, SchedRecord,
+    ScriptBehavior, ThreadId, ThreadKind, ThreadSpec,
 };
-use noiselab_machine::{CpuId, CpuSet, Machine, PerfModel, WorkUnit};
+use noiselab_machine::{CpuSet, Machine, PerfModel, WorkUnit};
 use noiselab_sim::{SimDuration, SimTime};
 use noiselab_workloads::{Babelstream, MiniFE, NBody, Workload};
 use std::cell::RefCell;
@@ -119,23 +119,26 @@ pub fn spawn_compute(k: &mut Kernel, name: &str, flops: f64, policy: Policy) -> 
 /// One recorded trace event: (cpu, class, source, start, duration).
 pub type TraceTuple = (u32, NoiseClass, String, u64, u64);
 
-/// A trace sink recording full event tuples for comparison across runs.
+/// A tracer recording the full tuple of every noise record, for
+/// comparison across runs.
 #[derive(Default)]
 pub struct Recorder(pub Rc<RefCell<Vec<TraceTuple>>>);
 
-impl TraceSink for Recorder {
-    fn record(
-        &mut self,
-        cpu: CpuId,
-        class: NoiseClass,
-        source: &str,
-        _tid: Option<ThreadId>,
-        start: SimTime,
-        duration: SimDuration,
-    ) {
-        self.0
-            .borrow_mut()
-            .push((cpu.0, class, source.to_string(), start.0, duration.nanos()));
+impl KernelObserver for Recorder {
+    fn sched(&mut self, rec: &SchedRecord<'_>) {
+        if let SchedRecord::Noise {
+            cpu,
+            class,
+            source,
+            start,
+            duration_ns,
+            ..
+        } = *rec
+        {
+            self.0
+                .borrow_mut()
+                .push((cpu, class, source.to_string(), start.0, duration_ns));
+        }
     }
 }
 
@@ -259,14 +262,14 @@ mod tests {
     #[test]
     fn recorder_captures_tuples() {
         let (mut rec, store) = recorder();
-        rec.record(
-            CpuId(2),
-            NoiseClass::Irq,
-            "nic:1",
-            None,
-            SimTime(5),
-            SimDuration::from_nanos(7),
-        );
+        rec.sched(&SchedRecord::Noise {
+            cpu: 2,
+            class: NoiseClass::Irq,
+            source: "nic:1",
+            thread: None,
+            start: SimTime(5),
+            duration_ns: 7,
+        });
         assert_eq!(
             store.borrow().as_slice(),
             &[(2, NoiseClass::Irq, "nic:1".to_string(), 5, 7)]

@@ -76,6 +76,9 @@
 //! the pipeline). Flags given without a value (`--static --json`) are
 //! booleans.
 //!
+//! `noiselab <command> --help` lists the command's flags; a flag the
+//! command does not read is rejected with an error naming it.
+//!
 //! `advise` is the measurement-quality advisor (crates/advise): it
 //! reads whatever artifacts exist — a campaign checkpoint, per-cell
 //! trace sets (a single JSON file, or a directory of
@@ -104,6 +107,123 @@ use std::process::ExitCode;
 struct Args {
     cmd: String,
     opts: HashMap<String, String>,
+}
+
+/// One subcommand: its one-line summary and every flag it reads.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    /// Space-separated flag names, without the `--`.
+    flags: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+/// Every subcommand. `main` dispatches through this table, prints an
+/// entry for `--help`, and rejects flags an entry does not list.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "baseline",
+        about: "run an untraced baseline and print its summary",
+        flags: "platform workload model mitigation smt runs seed",
+        run: cmd_baseline,
+    },
+    Command {
+        name: "trace",
+        about: "trace baseline runs into a trace set, or one run (--run) into a timeline",
+        flags: "platform workload model mitigation smt runs seed out boost run binary",
+        run: cmd_trace,
+    },
+    Command {
+        name: "generate",
+        about: "generate an injection config from a trace set",
+        flags: "traces out merge",
+        run: cmd_generate,
+    },
+    Command {
+        name: "inject",
+        about: "replay an injection config against a baseline",
+        flags: "platform workload model mitigation smt runs seed config",
+        run: cmd_inject,
+    },
+    Command {
+        name: "analyze",
+        about: "summarize a trace set",
+        flags: "traces top",
+        run: cmd_analyze,
+    },
+    Command {
+        name: "report",
+        about: "print a paper table, figure or ablation",
+        flags: "what scale",
+        run: cmd_report,
+    },
+    Command {
+        name: "campaign",
+        about: "sweep every model x mitigation cell, single-process or sharded (--workers)",
+        flags: "platform workload runs seed checkpoint resume verify-resume limit crash-prob crash-window-ms fault-seed retries dvfs workers queue shard-size heartbeat-secs shard-timeout-secs max-shard-crashes max-respawns chaos-kills",
+        run: cmd_campaign,
+    },
+    // Hidden: spawned by `campaign --workers N`, not user-facing.
+    Command {
+        name: "campaign-worker",
+        about: "one sharded-campaign worker process (spawned by the supervisor)",
+        flags: "queue id",
+        run: cmd_campaign_worker,
+    },
+    Command {
+        name: "metrics",
+        about: "aggregate telemetry metrics over runs, or of a campaign checkpoint",
+        flags: "platform workload model mitigation smt runs seed tracing json profile overhead reps checkpoint",
+        run: cmd_metrics,
+    },
+    Command {
+        name: "advise",
+        about: "diagnose measurement quality from checkpoints, traces and bench history",
+        flags: "checkpoint traces check bench-hotpath bench-telemetry json markdown cv-threshold alpha resamples advise-seed",
+        run: cmd_advise,
+    },
+    Command {
+        name: "audit",
+        about: "check the determinism contract (static taint pass, dual run)",
+        flags: "static dual-run json root sarif fail-on-stale-allow cache no-cache platform workload model mitigation smt seed perturb cadence",
+        run: cmd_audit,
+    },
+    Command {
+        name: "conform",
+        about: "run the scheduler conformance suite, or replay one case",
+        flags: "fuzz seed corpus json mutate replay",
+        run: cmd_conform,
+    },
+];
+
+impl Command {
+    fn help(&self) -> String {
+        let mut out = format!(
+            "noiselab {}: {}\nusage: noiselab {} [--flag value ...]\nflags:\n",
+            self.name, self.about, self.name
+        );
+        for f in self.flags.split_whitespace() {
+            out += &format!("  --{f}\n");
+        }
+        out
+    }
+
+    /// `Ok` when this command reads every flag in `args`; otherwise an
+    /// error naming the (alphabetically) first flag it does not read.
+    fn check_flags(&self, args: &Args) -> Result<(), String> {
+        let unknown = args
+            .opts
+            .keys()
+            .filter(|k| !self.flags.split_whitespace().any(|f| f == k.as_str()))
+            .min();
+        match unknown {
+            Some(k) => Err(format!(
+                "unknown flag --{k} for '{}' (see noiselab {} --help)",
+                self.name, self.name
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 fn parse_args() -> Option<Args> {
@@ -1102,26 +1222,15 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let result = match args.cmd.as_str() {
-        "baseline" => cmd_baseline(&args),
-        "trace" => cmd_trace(&args),
-        "generate" => cmd_generate(&args),
-        "inject" => cmd_inject(&args),
-        "analyze" => cmd_analyze(&args),
-        "report" => cmd_report(&args),
-        "campaign" => cmd_campaign(&args),
-        // Hidden: spawned by `campaign --workers N`, not user-facing.
-        "campaign-worker" => cmd_campaign_worker(&args),
-        "metrics" => cmd_metrics(&args),
-        "advise" => cmd_advise(&args),
-        "audit" => cmd_audit(&args),
-        "conform" => cmd_conform(&args),
-        _ => {
-            usage();
-            return ExitCode::FAILURE;
-        }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == args.cmd) else {
+        usage();
+        return ExitCode::FAILURE;
     };
-    match result {
+    if args.opts.contains_key("help") {
+        print!("{}", cmd.help());
+        return ExitCode::SUCCESS;
+    }
+    match cmd.check_flags(&args).and_then(|()| (cmd.run)(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
