@@ -72,6 +72,11 @@ pub struct Cfg {
 
 impl Cfg {
     pub const ENTRY: usize = 0;
+
+    /// A method takes `self` as parameter 0.
+    pub fn is_method(&self) -> bool {
+        self.params.first().is_some_and(|p| p == "self")
+    }
 }
 
 /// Lower one parsed function.

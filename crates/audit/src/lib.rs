@@ -32,7 +32,6 @@
 //! assert_eq!(v[0].rule, RuleId::WallClock);
 //! ```
 
-pub mod cache;
 pub mod cfg;
 pub mod lexer;
 pub mod parse;
@@ -51,8 +50,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use cache::{fnv1a64, rules_key, Cache, FileArtifacts};
-
 /// One source file handed to the pure analysis entry point.
 pub struct SourceSpec<'a> {
     /// Diagnostic path (repo-relative in the workspace sweep).
@@ -63,71 +60,30 @@ pub struct SourceSpec<'a> {
     pub host_thread_ok: bool,
 }
 
-/// Options for the workspace sweep.
-#[derive(Debug, Default)]
-pub struct AuditOptions {
-    /// Where to read/write the incremental per-file cache; `None`
-    /// disables caching.
-    pub cache_path: Option<PathBuf>,
-}
-
-impl AuditOptions {
-    /// The conventional cache location under a workspace root.
-    pub fn default_cache_path(root: &Path) -> PathBuf {
-        root.join("target").join("audit-cache.txt")
-    }
-}
-
-fn compute_artifacts(spec: &SourceSpec) -> FileArtifacts {
-    let lexed = lexer::lex(&spec.src);
-    let scan = rules::scan_file(&spec.path, &spec.src, spec.rules, spec.host_thread_ok);
-    let cfgs = parse::parse_file(&lexed)
-        .iter()
-        .map(cfg::lower_fn)
-        .collect();
-    FileArtifacts {
-        violations: scan.violations,
-        allows: scan.allows,
-        cfgs,
-    }
-}
-
 /// Run the full analysis (lexical + taint + stale-allow detection)
 /// over in-memory sources. This is the byte-deterministic core: the
 /// output depends only on the *set* of inputs, not their order.
 pub fn analyze_sources(files: &[SourceSpec]) -> AuditReport {
-    let units: Vec<(usize, FileArtifacts)> = files
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| (i, compute_artifacts(spec)))
-        .collect();
-    finish(files, units)
-}
-
-/// Combine per-file artifacts into the final report: run the taint
-/// fixpoint, apply allows to taint findings, judge stale allows, sort.
-fn finish(files: &[SourceSpec], units: Vec<(usize, FileArtifacts)>) -> AuditReport {
     let mut report = AuditReport {
         files_scanned: files.len(),
         ..AuditReport::default()
     };
 
-    // Assemble the global CFG list in path order so the fixpoint sees
-    // a canonical input regardless of sweep order.
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by(|&a, &b| files[units[a].0].path.cmp(&files[units[b].0].path));
+    // Visit files in path order so the fixpoint sees a canonical CFG
+    // list regardless of sweep order.
+    let mut order: Vec<&SourceSpec> = files.iter().collect();
+    order.sort_by(|a, b| a.path.cmp(&b.path));
 
     let mut cfgs: Vec<(String, cfg::Cfg)> = Vec::new();
     let mut allows: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
     let mut rules_for: BTreeMap<String, &[RuleId]> = BTreeMap::new();
-    for &u in &order {
-        let (idx, art) = &units[u];
-        let spec = &files[*idx];
-        report.violations.extend(art.violations.iter().cloned());
-        allows.insert(spec.path.clone(), art.allows.clone());
+    for spec in order {
+        let scan = rules::scan_file(&spec.path, &spec.src, spec.rules, spec.host_thread_ok);
+        report.violations.extend(scan.violations);
+        allows.insert(spec.path.clone(), scan.allows);
         rules_for.insert(spec.path.clone(), spec.rules);
-        for c in &art.cfgs {
-            cfgs.push((spec.path.clone(), c.clone()));
+        for f in parse::parse_file(&lexer::lex(&spec.src)) {
+            cfgs.push((spec.path.clone(), cfg::lower_fn(&f)));
         }
     }
 
@@ -204,20 +160,10 @@ fn finish(files: &[SourceSpec], units: Vec<(usize, FileArtifacts)>) -> AuditRepo
     report
 }
 
-/// Sweep the whole workspace rooted at `root` under [`POLICIES`] with
-/// default options (no cache).
-pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
-    audit_workspace_with(root, &AuditOptions::default())
-}
-
 /// Sweep the whole workspace rooted at `root` under [`POLICIES`].
 /// Missing crates are an error (the policy table and the workspace must
 /// agree), missing optional dirs (a crate without `benches/`) are not.
-pub fn audit_workspace_with(root: &Path, opts: &AuditOptions) -> io::Result<AuditReport> {
-    let mut cache = match &opts.cache_path {
-        Some(p) => Cache::load(p),
-        None => Cache::default(),
-    };
+pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let mut specs: Vec<SourceSpec> = Vec::new();
     let mut crates_scanned = 0usize;
 
@@ -266,30 +212,7 @@ pub fn audit_workspace_with(root: &Path, opts: &AuditOptions) -> io::Result<Audi
         }
     }
 
-    let key_of = |spec: &SourceSpec| rules_key(spec.rules);
-    let mut units: Vec<(usize, FileArtifacts)> = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        let hash = fnv1a64(spec.src.as_bytes());
-        let key = key_of(spec);
-        let art = match cache.get(&spec.path, hash, spec.host_thread_ok, &key) {
-            Some(art) => art,
-            None => {
-                let art = compute_artifacts(spec);
-                cache.put(&spec.path, hash, spec.host_thread_ok, key, art.clone());
-                art
-            }
-        };
-        units.push((i, art));
-    }
-
-    if let Some(p) = &opts.cache_path {
-        let live: Vec<String> = specs.iter().map(|s| s.path.clone()).collect();
-        cache.retain_files(&live);
-        // The cache is advisory; a failed write must not fail the audit.
-        let _ = cache.save(p);
-    }
-
-    let mut report = finish(&specs, units);
+    let mut report = analyze_sources(&specs);
     report.crates_scanned = crates_scanned;
     Ok(report)
 }

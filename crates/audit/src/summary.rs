@@ -11,7 +11,10 @@
 //! Summaries are keyed by the *last path segment* of the function
 //! name — the parser does not resolve imports — so same-named
 //! functions are unioned. That is conservative (may over-taint) and
-//! is documented as a blind spot in ANALYSIS.md.
+//! is documented as a blind spot in ANALYSIS.md. Methods (first
+//! parameter `self`) are keyed apart from free functions, so a bench
+//! helper `finish(start)` never shares a summary with
+//! `Recorder::finish(&self)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,6 +60,41 @@ impl FnSummary {
     }
 }
 
+/// Every function's summary, methods apart from free functions.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Summaries {
+    free: BTreeMap<String, FnSummary>,
+    methods: BTreeMap<String, FnSummary>,
+}
+
+impl Summaries {
+    /// The summary a call resolves to. A method call (`recv.name(..)`)
+    /// resolves only against methods, whose parameter 0 is `self`; a
+    /// path call resolves against free functions, and a qualified one
+    /// (`Type::name(recv, ..)`) falls back to methods, where its
+    /// arguments already line up with the method's parameters.
+    pub fn resolve(&self, name: &str, full: &str, is_method: bool) -> Option<&FnSummary> {
+        if is_method {
+            self.methods.get(name)
+        } else if let Some(s) = self.free.get(name) {
+            Some(s)
+        } else if full.contains("::") {
+            self.methods.get(name)
+        } else {
+            None
+        }
+    }
+
+    fn entry(&mut self, cfg: &Cfg) -> &mut FnSummary {
+        let map = if cfg.is_method() {
+            &mut self.methods
+        } else {
+            &mut self.free
+        };
+        map.entry(cfg.name.clone()).or_default()
+    }
+}
+
 /// Run the summary fixpoint over every function in the workspace and
 /// return the deduplicated, sorted findings.
 ///
@@ -64,12 +102,12 @@ impl FnSummary {
 /// came from. Test-region functions contribute nothing: their sinks
 /// are not reported and their summaries are not trusted.
 pub fn analyze_workspace(cfgs: &[(String, Cfg)]) -> Vec<TaintFinding> {
-    let mut summaries: BTreeMap<String, FnSummary> = BTreeMap::new();
+    let mut summaries = Summaries::default();
     let mut findings: BTreeMap<(String, u32, &'static str, String, u32), TaintFinding> =
         BTreeMap::new();
 
     for _round in 0..MAX_ROUNDS {
-        let mut next: BTreeMap<String, FnSummary> = BTreeMap::new();
+        let mut next = Summaries::default();
         findings.clear();
         for (file, cfg) in cfgs {
             if cfg.in_test {
@@ -89,9 +127,7 @@ pub fn analyze_workspace(cfgs: &[(String, Cfg)]) -> Vec<TaintFinding> {
                     }
                 }
             }
-            next.entry(cfg.name.clone())
-                .or_default()
-                .union(&analysis.summary);
+            next.entry(cfg).union(&analysis.summary);
         }
         let stable = next == summaries;
         summaries = next;
@@ -175,6 +211,43 @@ mod tests {
                  fn run(seed: u64) -> u64 { digest(mix(seed, 42)) }",
         )]);
         assert!(findings.is_empty(), "{findings:#?}");
+    }
+
+    #[test]
+    fn methods_and_free_functions_keep_separate_summaries() {
+        // The free `finish(x)` hashes its argument; the method
+        // `R::finish(&self)` does not. A tainted receiver must not pick
+        // up the free function's sink.
+        let findings = analyze(&[
+            (
+                "a.rs",
+                "fn finish(x: u64) -> u64 { fnv1a(&x.to_le_bytes()) }\n\
+                 impl R { fn finish(&self) -> u64 { 0 } }",
+            ),
+            (
+                "b.rs",
+                "fn leak(mut r: R) -> u64 { r.x = std::time::Instant::now().elapsed().as_nanos() as u64; r.finish() }",
+            ),
+        ]);
+        assert!(findings.is_empty(), "{findings:#?}");
+    }
+
+    #[test]
+    fn qualified_call_resolves_to_a_method_summary() {
+        // `Acc::digest(&a)` passes the receiver as argument 0, which is
+        // the method's `self`.
+        let findings = analyze(&[
+            (
+                "a.rs",
+                "impl Acc { fn digest(&self) -> u64 { fnv1a(&self.x.to_le_bytes()) } }",
+            ),
+            (
+                "b.rs",
+                "fn leak(mut a: Acc) -> u64 { a.x = std::time::Instant::now().elapsed().as_nanos() as u64; Acc::digest(&a) }",
+            ),
+        ]);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(findings[0].file, "a.rs");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg::{Cfg, Instr, Rv};
 use crate::rules::RuleId;
-use crate::summary::{FnSummary, SinkTrace};
+use crate::summary::{FnSummary, SinkTrace, Summaries};
 
 /// How many hops a witness chain may record before it stops growing.
 pub const MAX_HOPS: usize = 12;
@@ -332,7 +332,7 @@ type FindingKey = (&'static str, String, u32, String, u32);
 
 struct Analyzer<'a> {
     file: &'a str,
-    summaries: &'a BTreeMap<String, FnSummary>,
+    summaries: &'a Summaries,
     state: BTreeMap<Rv, BTreeSet<Witness>>,
     findings: BTreeMap<FindingKey, TaintFinding>,
     summary: FnSummary,
@@ -544,9 +544,21 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        // 4. Apply the callee's summary if we have one.
-        let summary = self.summaries.get(name).cloned();
-        if let Some(s) = &summary {
+        // 4. Apply the callee's summary if we have one. A method's
+        //    parameter 0 is `self`, so its arguments start with the
+        //    receiver. The summary is borrowed through `'a`, not
+        //    `self`, so it need not be cloned while `self` is updated.
+        let summaries: &'a Summaries = self.summaries;
+        let summary = summaries.resolve(name, full, is_method);
+        if let Some(s) = summary {
+            let with_recv: Vec<Rv>;
+            let args = match recv {
+                Some(recv) if is_method => {
+                    with_recv = std::iter::once(recv).chain(args).cloned().collect();
+                    &with_recv
+                }
+                _ => args,
+            };
             for w in &s.ret {
                 match w.origin {
                     Origin::Source(_) => {
@@ -660,7 +672,7 @@ impl<'a> Analyzer<'a> {
 }
 
 /// Analyze one function against the current summary environment.
-pub fn analyze_fn(cfg: &Cfg, file: &str, summaries: &BTreeMap<String, FnSummary>) -> FnAnalysis {
+pub fn analyze_fn(cfg: &Cfg, file: &str, summaries: &Summaries) -> FnAnalysis {
     let mut a = Analyzer {
         file,
         summaries,
@@ -708,7 +720,7 @@ mod tests {
         let fns = parse_file(&lex(src));
         assert_eq!(fns.len(), 1, "{fns:#?}");
         let cfg = lower_fn(&fns[0]);
-        analyze_fn(&cfg, "t.rs", &BTreeMap::new())
+        analyze_fn(&cfg, "t.rs", &Summaries::default())
     }
 
     #[test]
@@ -784,7 +796,7 @@ mod tests {
         assert_eq!(fns.len(), 1);
         assert!(fns[0].in_test);
         let cfg = lower_fn(&fns[0]);
-        let a = analyze_fn(&cfg, "t.rs", &BTreeMap::new());
+        let a = analyze_fn(&cfg, "t.rs", &Summaries::default());
         assert!(a.findings.is_empty(), "{:#?}", a.findings);
     }
 

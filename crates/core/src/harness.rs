@@ -539,6 +539,7 @@ impl RunLedger {
 /// parallelism, else a documented fallback of 4. Malformed values are
 /// ignored with a note on stderr rather than silently coerced.
 fn host_threads() -> usize {
+    // audit:allow(taint-env): only sizes the host-thread chunks of run_many; each run is a pure function of its seed and results land in seed order
     if let Ok(v) = std::env::var("NOISELAB_HOST_THREADS") {
         match v.trim().parse::<usize>() {
             Ok(n) if n > 0 => return n,

@@ -22,7 +22,7 @@
 //! noiselab campaign --workers N [--queue DIR] [--shard-size 2] [--heartbeat-secs 120]
 //!                   [--shard-timeout-secs 3600] [--max-shard-crashes 3] [--chaos-kills 0]
 //! noiselab audit    [--static] [--dual-run] [--json] [--root .]
-//!                   [--sarif <path|->] [--fail-on-stale-allow] [--cache <path>] [--no-cache]
+//!                   [--sarif <path|->] [--fail-on-stale-allow]
 //!                   [--platform intel] [--workload nbody] [--model omp] [--mitigation Rm]
 //!                   [--seed 1] [--perturb N] [--cadence 64]
 //! noiselab conform  [--fuzz N] [--seed S] [--corpus <dir>] [--json]
@@ -68,11 +68,10 @@
 //! source that reaches a determinism sink as a source→sink path;
 //! `--sarif` emits a SARIF 2.1.0 report (to a file, or stdout with
 //! `-`), `--fail-on-stale-allow` makes unused `audit:allow`
-//! annotations fatal, and the per-file cache under `target/` (relocate
-//! with `--cache <path>`, disable with `--no-cache`) keeps warm sweeps
-//! fast. `--dual-run` executes the same cell twice and bisects the
-//! event streams, naming the first divergent event if they differ
-//! (`--perturb N` deliberately forks run B after event N to exercise
+//! annotations fatal. Every sweep is a full, cold one (about a second
+//! on a 2-core host). `--dual-run` executes the same cell twice and
+//! bisects the event streams, naming the first divergent event if they
+//! differ (`--perturb N` deliberately forks run B after event N to exercise
 //! the pipeline). Flags given without a value (`--static --json`) are
 //! booleans.
 //!
@@ -185,7 +184,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "audit",
         about: "check the determinism contract (static taint pass, dual run)",
-        flags: "static dual-run json root sarif fail-on-stale-allow cache no-cache platform workload model mitigation smt seed perturb cadence",
+        flags: "static dual-run json root sarif fail-on-stale-allow platform workload model mitigation smt seed perturb cadence",
         run: cmd_audit,
     },
     Command {
@@ -244,6 +243,33 @@ fn parse_args() -> Option<Args> {
 }
 
 impl Args {
+    /// The value of `--key` read by `parse`, or `None` when the flag is
+    /// absent. A value `parse` rejects is an error naming the flag and
+    /// the value, never a silent fallback to the default.
+    fn value<T>(&self, key: &str, parse: impl Fn(&str) -> Option<T>) -> Result<Option<T>, String> {
+        match self.opts.get(key) {
+            None => Ok(None),
+            Some(v) => parse(v)
+                .map(Some)
+                .ok_or_else(|| format!("invalid value {v:?} for --{key}")),
+        }
+    }
+
+    /// `--key` parsed as a number, or `default` when absent.
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.value(key, |v| v.parse().ok())?.unwrap_or(default))
+    }
+
+    /// A boolean flag: `--key`, `--key true` or `--key false`.
+    fn flag(&self, key: &str, default: bool) -> Result<bool, String> {
+        let parse = |v: &str| match v {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        };
+        Ok(self.value(key, parse)?.unwrap_or(default))
+    }
+
     fn get(&self, key: &str, default: &str) -> String {
         self.opts
             .get(key)
@@ -296,29 +322,34 @@ impl Args {
                 ))
             }
         };
+        let smt = self.value("smt", |v| match v {
+            "on" => Some(true),
+            "off" => Some(false),
+            _ => None,
+        })?;
         let mut cfg = ExecConfig::new(model, mitigation);
-        if self.get("smt", "off") == "on" {
+        if smt == Some(true) {
             cfg = cfg.with_smt();
         }
         Ok(cfg)
     }
 
-    fn runs(&self, default: usize) -> usize {
-        self.get("runs", &default.to_string())
-            .parse()
-            .unwrap_or(default)
+    fn runs(&self, default: usize) -> Result<usize, String> {
+        self.num("runs", default)
     }
 
-    fn seed(&self) -> u64 {
-        self.get("seed", "1").parse().unwrap_or(1)
+    fn seed(&self) -> Result<u64, String> {
+        self.num("seed", 1)
     }
 
-    fn scale(&self) -> Scale {
-        match self.get("scale", "bench").as_str() {
-            "smoke" => Scale::smoke(),
-            "paper" => Scale::paper(),
-            _ => Scale::bench(),
-        }
+    fn scale(&self) -> Result<Scale, String> {
+        let scale = self.value("scale", |v| match v {
+            "smoke" => Some(Scale::smoke()),
+            "bench" => Some(Scale::bench()),
+            "paper" => Some(Scale::paper()),
+            _ => None,
+        })?;
+        Ok(scale.unwrap_or_else(Scale::bench))
     }
 }
 
@@ -326,8 +357,9 @@ fn cmd_baseline(args: &Args) -> Result<(), String> {
     let platform = args.platform()?;
     let workload = args.workload(&platform)?;
     let cfg = args.exec_config()?;
-    let runs = args.runs(40);
-    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, args.seed(), false);
+    let runs = args.runs(40)?;
+    let seed = args.seed()?;
+    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, seed, false);
     println!(
         "{} {} {}: {} runs, mean {:.4}s, sd {:.2}ms, min {:.4}s, max {:.4}s, p99 {:.4}s",
         platform.label(),
@@ -395,21 +427,17 @@ fn cmd_trace_timeline(args: &Args, run_seed: u64) -> Result<(), String> {
 fn cmd_trace(args: &Args) -> Result<(), String> {
     // `--run <seed>` switches to single-run timeline export; without it
     // this is the legacy TraceSet pipeline stage `generate` consumes.
-    if let Some(seed) = args.opts.get("run") {
-        let seed = seed
-            .parse()
-            .map_err(|_| format!("--run wants a seed (got {seed:?})"))?;
+    if let Some(seed) = args.value("run", |v| v.parse().ok())? {
         return cmd_trace_timeline(args, seed);
     }
     let mut platform = args.platform()?;
-    if let Ok(boost) = args.get("boost", "1").parse::<f64>() {
-        platform.noise.anomaly_prob = (platform.noise.anomaly_prob * boost).min(0.5);
-    }
+    let boost: f64 = args.num("boost", 1.0)?;
+    platform.noise.anomaly_prob = (platform.noise.anomaly_prob * boost).min(0.5);
     let workload = args.workload(&platform)?;
     let cfg = args.exec_config()?;
     let out = args.required("out")?;
-    let runs = args.runs(40);
-    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, args.seed(), true);
+    let runs = args.runs(40)?;
+    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, args.seed()?, true);
     let json = serde_json::to_string(&base.traces).map_err(|e| e.to_string())?;
     std::fs::write(&out, json).map_err(|e| e.to_string())?;
     println!(
@@ -426,14 +454,15 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 fn cmd_generate(args: &Args) -> Result<(), String> {
     let traces_path = args.required("traces")?;
     let out = args.required("out")?;
+    let merge = args.value("merge", |v| match v {
+        "improved" => Some(MergeStrategy::Improved),
+        "naive" => Some(MergeStrategy::NaivePessimistic),
+        _ => None,
+    })?;
     let data = std::fs::read_to_string(&traces_path).map_err(|e| e.to_string())?;
     let traces: TraceSet = serde_json::from_str(&data).map_err(|e| e.to_string())?;
-    let merge = match args.get("merge", "improved").as_str() {
-        "naive" => MergeStrategy::NaivePessimistic,
-        _ => MergeStrategy::Improved,
-    };
     let opts = GeneratorOptions {
-        merge,
+        merge: merge.unwrap_or(MergeStrategy::Improved),
         ..GeneratorOptions::default()
     };
     let config =
@@ -457,25 +486,19 @@ fn cmd_inject(args: &Args) -> Result<(), String> {
     let workload = args.workload(&platform)?;
     let cfg = args.exec_config()?;
     let config_path = args.required("config")?;
+    let runs = args.runs(20)?;
+    let seed = args.seed()?;
     let data = std::fs::read_to_string(&config_path).map_err(|e| e.to_string())?;
     let config = InjectionConfig::from_json(&data).map_err(|e| e.to_string())?;
-    let runs = args.runs(20);
     let base = run_baseline(
         &platform,
         workload.as_ref(),
         &cfg,
         runs,
-        args.seed() + 10_000,
+        seed + 10_000,
         false,
     );
-    let inj = run_injected(
-        &platform,
-        workload.as_ref(),
-        &cfg,
-        &config,
-        runs,
-        args.seed(),
-    );
+    let inj = run_injected(&platform, workload.as_ref(), &cfg, &config, runs, seed);
     println!(
         "{} {} {}: baseline {:.4}s -> injected {:.4}s ({:+.1}%), accuracy {:+.1}%",
         platform.label(),
@@ -493,7 +516,7 @@ fn cmd_inject(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
-    let scale = args.scale();
+    let scale = args.scale()?;
     match args.get("what", "table1").as_str() {
         "table1" => print!("{}", table1::run(scale).render()),
         "table2" => print!("{}", table2::run(scale).render()),
@@ -541,12 +564,12 @@ fn campaign_cells(dvfs: bool) -> Vec<(String, ExecConfig)> {
 
 /// The optional deterministic fault plan shared by both engines:
 /// `--crash-prob p` with `--crash-window-ms w` and `--fault-seed s`.
-fn campaign_faults(args: &Args) -> Option<noiselab::kernel::FaultPlan> {
-    let crash_prob: f64 = args.get("crash-prob", "0").parse().unwrap_or(0.0);
-    let fault_seed: u64 = args.get("fault-seed", "1").parse().unwrap_or(1);
-    let window_ms: u64 = args.get("crash-window-ms", "2").parse().unwrap_or(2);
-    (crash_prob > 0.0)
-        .then(|| noiselab::kernel::FaultPlan::crashy(fault_seed, crash_prob, window_ms))
+fn campaign_faults(args: &Args) -> Result<Option<noiselab::kernel::FaultPlan>, String> {
+    let crash_prob: f64 = args.num("crash-prob", 0.0)?;
+    let fault_seed: u64 = args.num("fault-seed", 1)?;
+    let window_ms: u64 = args.num("crash-window-ms", 2)?;
+    Ok((crash_prob > 0.0)
+        .then(|| noiselab::kernel::FaultPlan::crashy(fault_seed, crash_prob, window_ms)))
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
@@ -560,12 +583,13 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
 
     let platform = args.platform()?;
     let workload = args.workload(&platform)?;
-    let runs = args.runs(20);
+    let runs = args.runs(20)?;
     let checkpoint = args.opts.get("checkpoint").map(std::path::PathBuf::from);
-    if args.get("resume", "false") == "true" && checkpoint.is_none() {
+    let resume = args.flag("resume", false)?;
+    if resume && checkpoint.is_none() {
         return Err("--resume true requires --checkpoint <path>".into());
     }
-    if args.get("resume", "false") != "true" {
+    if !resume {
         // A fresh campaign must not silently continue an old one.
         if let Some(p) = &checkpoint {
             if p.exists() {
@@ -578,9 +602,9 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         }
     }
 
-    let faults = campaign_faults(args);
-    let retry = RetryPolicy::retries(args.get("retries", "0").parse().unwrap_or(0));
-    let cells = campaign_cells(args.get("dvfs", "false") == "true");
+    let faults = campaign_faults(args)?;
+    let retry = RetryPolicy::retries(args.num("retries", 0)?);
+    let cells = campaign_cells(args.flag("dvfs", false)?);
     let n_cells = cells.len();
 
     let plan = CampaignPlan {
@@ -588,12 +612,12 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         workload: workload.as_ref(),
         cells,
         runs_per_cell: runs,
-        seed_base: args.seed(),
+        seed_base: args.seed()?,
         faults,
         retry,
         checkpoint,
-        limit: args.opts.get("limit").and_then(|v| v.parse().ok()),
-        verify_resume: args.get("verify-resume", "true") == "true",
+        limit: args.value("limit", |v| v.parse().ok())?,
+        verify_resume: args.flag("verify-resume", true)?,
     };
     let state = run_campaign(&plan).map_err(|e| e.to_string())?;
     print!("{}", render_campaign_report(&state.report(n_cells)));
@@ -625,27 +649,34 @@ fn cmd_campaign_sharded(args: &Args) -> Result<(), String> {
     use noiselab::core::RetryPolicy;
     use std::time::Duration;
 
-    let workers: usize = args
-        .get("workers", "4")
-        .parse()
-        .map_err(|_| "--workers wants a count".to_string())?;
+    let workers: usize = args.num("workers", 4)?;
     let spec = CampaignSpec {
         platform: args.get("platform", "intel"),
         workload: args.get("workload", "nbody"),
-        cells: campaign_cells(args.get("dvfs", "false") == "true")
+        cells: campaign_cells(args.flag("dvfs", false)?)
             .into_iter()
             .map(|(label, config)| CellSpec { label, config })
             .collect(),
-        runs_per_cell: args.runs(20),
-        seed_base: args.seed(),
-        faults: campaign_faults(args),
-        retry: RetryPolicy::retries(args.get("retries", "0").parse().unwrap_or(0)),
+        runs_per_cell: args.runs(20)?,
+        seed_base: args.seed()?,
+        faults: campaign_faults(args)?,
+        retry: RetryPolicy::retries(args.num("retries", 0)?),
     };
     spec.resolve().map_err(|e| e.to_string())?;
     let n_cells = spec.cells.len();
 
     let queue_root = std::path::PathBuf::from(args.get("queue", "campaign.queue"));
-    let shard_size: usize = args.get("shard-size", "2").parse().unwrap_or(2);
+    let shard_size: usize = args.num("shard-size", 2)?;
+    let secs = |key: &str, default: u64| args.num(key, default).map(Duration::from_secs);
+    let cfg = SupervisorConfig {
+        workers,
+        heartbeat_timeout: secs("heartbeat-secs", 120)?,
+        shard_timeout: secs("shard-timeout-secs", 3600)?,
+        max_shard_crashes: args.num("max-shard-crashes", 3)?,
+        max_respawns_per_slot: args.num("max-respawns", 16)?,
+        chaos_kills: args.num("chaos-kills", 0)?,
+        ..SupervisorConfig::default()
+    };
     let (_queue, manifest) =
         WorkQueue::init(&queue_root, &spec, shard_size).map_err(|e| e.to_string())?;
     eprintln!(
@@ -655,22 +686,6 @@ fn cmd_campaign_sharded(args: &Args) -> Result<(), String> {
         queue_root.display()
     );
 
-    let secs = |key: &str, default: u64| {
-        Duration::from_secs(
-            args.get(key, &default.to_string())
-                .parse()
-                .unwrap_or(default),
-        )
-    };
-    let cfg = SupervisorConfig {
-        workers,
-        heartbeat_timeout: secs("heartbeat-secs", 120),
-        shard_timeout: secs("shard-timeout-secs", 3600),
-        max_shard_crashes: args.get("max-shard-crashes", "3").parse().unwrap_or(3),
-        max_respawns_per_slot: args.get("max-respawns", "16").parse().unwrap_or(16),
-        chaos_kills: args.get("chaos-kills", "0").parse().unwrap_or(0),
-        ..SupervisorConfig::default()
-    };
     let binary = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
     let report = run_supervised(&binary, &queue_root, &cfg)?;
 
@@ -731,21 +746,19 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     // `--checkpoint <path>` is a read-only mode: render the merged
     // per-cell metrics and the supervisor health record of a saved
     // campaign checkpoint instead of running anything.
+    let json = args.flag("json", false)?;
     if let Some(path) = args.opts.get("checkpoint") {
-        return cmd_metrics_checkpoint(
-            std::path::Path::new(path),
-            args.get("json", "false") == "true",
-        );
+        return cmd_metrics_checkpoint(std::path::Path::new(path), json);
     }
 
     let platform = args.platform()?;
     let workload = args.workload(&platform)?;
     let cfg = args.exec_config()?;
-    let json = args.get("json", "false") == "true";
+    let seed = args.seed()?;
 
-    if args.get("overhead", "false") == "true" {
-        let reps: u32 = args.get("reps", "3").parse().unwrap_or(3);
-        let report = measure_overhead(&platform, workload.as_ref(), &cfg, args.seed(), reps)
+    if args.flag("overhead", false)? {
+        let reps: u32 = args.num("reps", 3)?;
+        let report = measure_overhead(&platform, workload.as_ref(), &cfg, seed, reps)
             .map_err(|e| format!("run failed: {e}"))?;
         if json {
             println!(
@@ -758,14 +771,15 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let runs = args.runs(5);
-    let tracing = args.get("tracing", "false") == "true";
+    let runs = args.runs(5)?;
+    let tracing = args.flag("tracing", false)?;
+    let profile = args.flag("profile", false)?;
     let ledger = run_many_instrumented(
         &platform,
         workload.as_ref(),
         &cfg,
         runs,
-        args.seed(),
+        seed,
         tracing,
         None,
         None,
@@ -782,14 +796,14 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         return Err(format!("all {runs} runs failed: {:?}", ledger.failures()));
     }
 
-    let profile = if args.get("profile", "false") == "true" {
+    let profile = if profile {
         let profiler = PhaseProfiler::new();
         run_once_instrumented(
             &platform,
             workload.as_ref(),
             &cfg,
             &KernelConfig::default(),
-            args.seed(),
+            seed,
             tracing,
             None,
             None,
@@ -842,25 +856,16 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
     use noiselab::core::CampaignState;
     use std::path::Path;
 
-    let mut cfg = AdviseConfig::default();
-    let parse_f64 = |key: &str, into: &mut f64| -> Result<(), String> {
-        if let Some(v) = args.opts.get(key) {
-            *into = v.parse().map_err(|_| format!("--{key} wants a number"))?;
-        }
-        Ok(())
+    let defaults = AdviseConfig::default();
+    let cfg = AdviseConfig {
+        cv_threshold: args.num("cv-threshold", defaults.cv_threshold)?,
+        alpha: args.num("alpha", defaults.alpha)?,
+        resamples: args.num("resamples", defaults.resamples)?,
+        seed: args.num("advise-seed", defaults.seed)?,
+        ..defaults
     };
-    parse_f64("cv-threshold", &mut cfg.cv_threshold)?;
-    parse_f64("alpha", &mut cfg.alpha)?;
-    if let Some(v) = args.opts.get("resamples") {
-        cfg.resamples = v
-            .parse()
-            .map_err(|_| "--resamples wants a count".to_string())?;
-    }
-    if let Some(v) = args.opts.get("advise-seed") {
-        cfg.seed = v
-            .parse()
-            .map_err(|_| "--advise-seed wants a u64".to_string())?;
-    }
+    let json = args.flag("json", false)?;
+    let check = args.flag("check", false)?;
 
     let mut inputs = AdviseInputs::default();
     if let Some(p) = args.opts.get("checkpoint") {
@@ -908,12 +913,12 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
             eprintln!("noiselab: markdown report saved to {md}");
         }
     }
-    if args.get("json", "false") == "true" && !markdown_on_stdout {
+    if json && !markdown_on_stdout {
         println!("{}", report.to_json());
     } else if !markdown_on_stdout {
         print!("{}", report.render_human());
     }
-    if args.get("check", "false") == "true" && report.check_failed() {
+    if check && report.check_failed() {
         return Err("advise --check: measurements are not trustworthy as-is \
              (critical smell or significant bench regression; see report)"
             .into());
@@ -954,34 +959,24 @@ fn cmd_metrics_checkpoint(path: &std::path::Path, json: bool) -> Result<(), Stri
 }
 
 fn cmd_audit(args: &Args) -> Result<(), String> {
-    use noiselab::audit::{audit_workspace_with, AuditOptions};
+    use noiselab::audit::audit_workspace;
     use noiselab::core::divergence::{dual_run_harness, DualRunOutcome, DEFAULT_CADENCE};
 
-    let json = args.get("json", "false") == "true";
-    let want_static = args.get("static", "false") == "true";
-    let want_dual = args.get("dual-run", "false") == "true";
+    let json = args.flag("json", false)?;
+    let want_static = args.flag("static", false)?;
+    let want_dual = args.flag("dual-run", false)?;
     // Bare `noiselab audit` runs the static pass.
     let want_static = want_static || !want_dual;
+    let fail_stale = args.flag("fail-on-stale-allow", false)?;
+    // Read the dual-run flags before the static pass prints anything.
+    let seed = args.seed()?;
+    let perturb = args.value("perturb", |v| v.parse().ok())?;
+    let cadence = args.num("cadence", DEFAULT_CADENCE)?;
 
     if want_static {
         let root = std::path::PathBuf::from(args.get("root", "."));
-        let fail_stale = args.get("fail-on-stale-allow", "false") == "true";
-        // Incremental cache is on by default; `--no-cache` forces a
-        // cold sweep, `--cache <path>` relocates the cache file.
-        let opts = if args.get("no-cache", "false") == "true" {
-            AuditOptions { cache_path: None }
-        } else {
-            let path = match args.opts.get("cache") {
-                // Bare `--cache` parses as "true": keep the default path.
-                Some(p) if p != "true" => std::path::PathBuf::from(p),
-                _ => AuditOptions::default_cache_path(&root),
-            };
-            AuditOptions {
-                cache_path: Some(path),
-            }
-        };
         let started = std::time::Instant::now();
-        let report = audit_workspace_with(&root, &opts).map_err(|e| format!("audit: {e}"))?;
+        let report = audit_workspace(&root).map_err(|e| format!("audit: {e}"))?;
         let elapsed = started.elapsed();
         if let Some(sarif) = args.opts.get("sarif") {
             if sarif == "-" {
@@ -1021,19 +1016,7 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
         let platform = args.platform()?;
         let workload = args.workload(&platform)?;
         let cfg = args.exec_config()?;
-        let perturb = args.opts.get("perturb").and_then(|v| v.parse().ok());
-        let cadence = args
-            .get("cadence", &DEFAULT_CADENCE.to_string())
-            .parse()
-            .unwrap_or(DEFAULT_CADENCE);
-        let outcome = dual_run_harness(
-            &platform,
-            workload.as_ref(),
-            &cfg,
-            args.seed(),
-            perturb,
-            cadence,
-        )?;
+        let outcome = dual_run_harness(&platform, workload.as_ref(), &cfg, seed, perturb, cadence)?;
         match outcome {
             DualRunOutcome::Identical { events, hash } => {
                 if json {
@@ -1071,10 +1054,10 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 
 /// Campaign seeds read naturally in either base: `--seed 0xC0DE` or
 /// `--seed 49374`.
-fn parse_seed(s: &str) -> u64 {
+fn parse_seed(s: &str) -> Option<u64> {
     match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).unwrap_or(0xC0DE),
-        None => s.parse().unwrap_or(0xC0DE),
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
     }
 }
 
@@ -1087,7 +1070,7 @@ fn cmd_conform(args: &Args) -> Result<(), String> {
         REPRO_MARKER,
     };
 
-    let json = args.get("json", "false") == "true";
+    let json = args.flag("json", false)?;
     let mutation = match args.opts.get("mutate") {
         None => None,
         Some(name) => Some(Mutation::from_name(name).ok_or_else(|| {
@@ -1141,10 +1124,10 @@ fn cmd_conform(args: &Args) -> Result<(), String> {
             }
         }
     } else {
-        let iterations: u64 = args.get("fuzz", "500").parse().unwrap_or(500);
+        let iterations: u64 = args.num("fuzz", 500)?;
         let cfg = FuzzConfig {
             iterations,
-            seed: parse_seed(&args.get("seed", "0xC0DE")),
+            seed: args.value("seed", parse_seed)?.unwrap_or(0xC0DE),
             corpus_dir: args.opts.get("corpus").map(std::path::PathBuf::from),
             mutation,
             ..FuzzConfig::default()
@@ -1185,7 +1168,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let traces_path = args.required("traces")?;
     let data = std::fs::read_to_string(&traces_path).map_err(|e| e.to_string())?;
     let traces: TraceSet = serde_json::from_str(&data).map_err(|e| e.to_string())?;
-    let top_k: usize = args.get("top", "10").parse().unwrap_or(10);
+    let top_k: usize = args.num("top", 10)?;
     let summary = noiselab::noise::analysis::summarize_set(&traces, top_k)
         .ok_or("trace set is empty".to_string())?;
     print!(

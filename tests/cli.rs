@@ -1,6 +1,8 @@
 //! The CLI's flag handling: `--help` lists a subcommand's flags without
-//! running it, and a flag the subcommand does not read is an error that
-//! names the flag instead of being silently ignored.
+//! running it, a flag the subcommand does not read is an error that
+//! names the flag instead of being silently ignored, and a malformed
+//! value is an error naming the flag and the value instead of being
+//! silently replaced by the default.
 
 use std::process::{Command, Output};
 
@@ -47,12 +49,39 @@ fn unknown_flags_are_rejected_by_name() {
         (&["metrics", "--bogus", "1"][..], "--bogus"),
         (&["baseline", "--runs", "1", "--tracing"], "--tracing"),
         (&["campaign", "--model", "omp"], "--model"),
+        (&["audit", "--no-cache"], "--no-cache"),
     ] {
         let out = noiselab(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} succeeded");
         assert!(
             stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway: {out:?}");
+    }
+}
+
+#[test]
+fn malformed_values_are_rejected_by_flag_and_value() {
+    for (args, flag, value) in [
+        (&["metrics", "--runs", "x"][..], "--runs", "x"),
+        (&["baseline", "--seed", "abc"], "--seed", "abc"),
+        (&["audit", "--dual-run", "--perturb", "x"], "--perturb", "x"),
+        (&["report", "--scale", "papr"], "--scale", "papr"),
+        (
+            &["campaign", "--runs", "2", "--retries", "-1"],
+            "--retries",
+            "-1",
+        ),
+        (&["conform", "--seed", "0xZZ"], "--seed", "0xZZ"),
+        (&["metrics", "--json", "yes"], "--json", "yes"),
+    ] {
+        let out = noiselab(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(
+            stderr.contains(flag) && stderr.contains(&format!("{value:?}")),
             "{args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?} ran anyway: {out:?}");
